@@ -11,8 +11,11 @@
 /// configuration. Every other bench reports simulated cycles — this one
 /// guards the infrastructure's own speed, which the hot-path structures
 /// (interned stat handles, the flat fragment/IBL table, the direct-mapped
-/// decode cache) exist to improve. Simulated results must not change when
-/// host speed does; the stats-parity test pins that.
+/// decode cache of pre-resolved lines) exist to improve. The `native` row
+/// is a plain Machine::step loop with no runtime: the interpreter's raw
+/// speed, beside what each runtime configuration keeps of it. Simulated
+/// results must not change when host speed does; the stats-parity test
+/// pins that.
 ///
 /// Emits BENCH_throughput.json (array of {config, instructions, wall_ns,
 /// mips}) for scripts/bench_compare.py to diff across commits, and prints
@@ -37,6 +40,7 @@ namespace {
 struct BenchConfig {
   const char *Name;
   RuntimeConfig Config;
+  bool Native = false; ///< a plain Machine::step loop; Config unused
 };
 
 struct Sample {
@@ -57,7 +61,9 @@ Sample measureConfig(const BenchConfig &BC,
     uint64_t Instructions = 0;
     auto T0 = std::chrono::steady_clock::now();
     for (const Program &Prog : Programs) {
-      Outcome O = runUnderRuntime(Prog, BC.Config, ClientKind::None);
+      Outcome O = BC.Native
+                      ? runNativeProgram(Prog)
+                      : runUnderRuntime(Prog, BC.Config, ClientKind::None);
       if (O.Status != RunStatus::Exited)
         return Best; // leaves mips at 0: visibly broken in the output
       Instructions += O.Instructions;
@@ -105,6 +111,7 @@ int main(int Argc, char **Argv) {
 
   RuntimeConfig Cache = RuntimeConfig::linkIndirect(); // links, no traces
   const BenchConfig Configs[] = {
+      {"native", RuntimeConfig(), /*Native=*/true},
       {"emulate", RuntimeConfig::emulate()},
       {"cache", Cache},
       {"cache+traces", RuntimeConfig::full()},

@@ -761,8 +761,8 @@ AppPc Runtime::handleIndirectArrival(AppPc Target, AppPc SiteCachePc,
   if (TheClient) {
     // Security vetting hook (program shepherding). The transferring
     // instruction sits at SiteCachePc in the cache.
-    const DecodedInstr *Site = M.fetchDecode(SiteCachePc);
-    int BranchOp = Site ? int(Site->Op) : int(OP_INVALID);
+    const DecodeLine *Site = M.fetchDecode(SiteCachePc);
+    int BranchOp = Site ? int(Site->opcode()) : int(OP_INVALID);
     if (!TheClient->onIndirectResolved(*this, BranchOp, Target)) {
       ++S.SecurityViolations;
       M.fault("security policy violation: indirect transfer to " +

@@ -32,16 +32,19 @@ namespace rio {
 
 #define RIO_UNREACHABLE(msg) ::rio::unreachableInternal(msg, __FILE__, __LINE__)
 
-/// Branch-weight hints for host hot paths (the interpreter loop). They never
-/// change behaviour, only code layout.
+/// Branch-weight and layout hints for host hot paths (the interpreter
+/// loop); RIO_COLD keeps a rare path out of line. They never change
+/// behaviour, only code layout.
 #if defined(__GNUC__) || defined(__clang__)
 #define RIO_LIKELY(x) __builtin_expect(!!(x), 1)
 #define RIO_UNLIKELY(x) __builtin_expect(!!(x), 0)
 #define RIO_ALWAYS_INLINE inline __attribute__((always_inline))
+#define RIO_COLD __attribute__((noinline, cold))
 #else
 #define RIO_LIKELY(x) (x)
 #define RIO_UNLIKELY(x) (x)
 #define RIO_ALWAYS_INLINE inline
+#define RIO_COLD
 #endif
 
 #endif // RIO_SUPPORT_COMPILER_H

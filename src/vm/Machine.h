@@ -24,6 +24,7 @@
 
 #include "vm/CostModel.h"
 #include "vm/Cpu.h"
+#include "vm/DecodeLine.h"
 #include "vm/Memory.h"
 #include "vm/Predictors.h"
 
@@ -139,19 +140,20 @@ public:
   /// Number of lines in the direct-mapped decode cache. A pc maps to line
   /// `pc & (DecodeCacheLines - 1)`; pcs that far apart alias (and evict
   /// each other on fill — never serving a wrong decode, because each line
-  /// is tagged with its exact pc and a per-region generation).
+  /// is tagged with its exact pc).
   static constexpr uint32_t DecodeCacheLines = 1u << 15;
 
   /// Decoded-instruction cache lookup (a software stand-in for the
-  /// hardware's instruction/uop cache). Returns null on undecodable bytes.
-  /// The returned pointer is valid until the next fetchDecode call (an
-  /// aliasing pc may refill the same line).
-  const DecodedInstr *fetchDecode(AppPc Pc);
+  /// hardware's instruction/uop cache): the compact, pre-resolved line the
+  /// interpreter executes (vm/DecodeLine.h). Returns null on undecodable
+  /// bytes. The returned pointer is valid until the next fetchDecode call
+  /// (an aliasing pc may refill the same line).
+  const DecodeLine *fetchDecode(AppPc Pc);
 
-  /// Invalidates cached decodes in [Lo, Hi); the runtime calls this when it
-  /// patches, deletes or replaces cache code. O(1) per WriteWatchLine-sized
-  /// line spanned: bumps the line generations, instantly orphaning every
-  /// decode tagged with the old generation.
+  /// Drops every cached decode whose bytes overlap [Lo, Hi); the runtime
+  /// calls this when it patches, deletes or replaces cache code. Probes
+  /// the one line each pc that may start such an instruction maps to
+  /// (the whole cache for ranges that wide).
   void invalidateDecodeRange(uint32_t Lo, uint32_t Hi);
 
   //===--------------------------------------------------------------------===
@@ -205,13 +207,21 @@ public:
 private:
   enum class SyscallResult { Ok, Fault, ThreadExited, Spawned };
 
-  StepResult execute(const DecodedInstr &DI);
+  /// Runs the pre-resolved line \p L at the current pc (step() has charged
+  /// its cost). Inlined into step(): one switch on the handler id.
+  RIO_ALWAYS_INLINE StepResult execute(const DecodeLine &L);
+  RIO_COLD StepResult memFault(AppPc Pc);
+  RIO_COLD StepResult faultStep(const char *Reason);
+  /// A store of the interpreter, noted for write monitoring.
+  RIO_ALWAYS_INLINE bool store32(uint32_t Addr, uint32_t Value);
+  RIO_ALWAYS_INLINE bool push32(uint32_t Value);
 
   /// Records a store for write monitoring: queues decode invalidation when
-  /// the target line ever held cached decodes (self-modifying code must not
-  /// execute stale decodes, natively or under a runtime) and logs an event
-  /// when the line is watched. Invalidation is deferred to the next step()
-  /// because the currently executing DecodedInstr lives in the cache.
+  /// the store overlaps bytes a decode was ever cached from (self-modifying
+  /// code must not execute stale decodes, natively or under a runtime) and
+  /// logs an event when the line is watched. Invalidation is deferred to
+  /// the next step() because the currently executing line lives in the
+  /// cache.
   ///
   /// The fast path is a single indexed load: LineState packs the sticky
   /// decoded bit and the watch count per line, and is zero for ordinary
@@ -228,17 +238,9 @@ private:
       noteWriteSlow(Addr, Len, State);
   }
   void noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State);
+  bool overlapsDecodedBytes(uint32_t Addr, uint32_t Len) const;
+  void noteDecoded(AppPc Pc, uint32_t Len);
   void drainPendingInvalidations();
-
-  // Operand evaluation helpers (see Machine.cpp). Force-inlined into the
-  // interpreter switch: they are tiny and on the hottest host path.
-  RIO_ALWAYS_INLINE bool memAddr(const Operand &Op, uint32_t &Addr) const;
-  RIO_ALWAYS_INLINE bool readOp32(const Operand &Op, uint32_t &Value);
-  RIO_ALWAYS_INLINE bool writeOp32(const Operand &Op, uint32_t Value);
-  RIO_ALWAYS_INLINE bool readOp8(const Operand &Op, uint8_t &Value);
-  RIO_ALWAYS_INLINE bool writeOp8(const Operand &Op, uint8_t Value);
-  RIO_ALWAYS_INLINE bool readOpF64(const Operand &Op, double &Value);
-  RIO_ALWAYS_INLINE bool writeOpF64(const Operand &Op, double Value);
 
   SyscallResult doSyscall();
 
@@ -265,31 +267,22 @@ private:
   AppPc ResetPc = 0;    ///< program entry state; see recordResetState()
   uint32_t ResetSp = 0;
 
-  /// One direct-mapped decode-cache line: valid iff Tag matches the probe
-  /// pc and Gen is one more than the current generation of the pc's watch
-  /// line (fills store LineGen+1, so the stored Gen is always >= 1 and an
-  /// all-zero line — the CowArray's untouched state — never reads as
-  /// valid). Cost memoizes the (fixed) cost model's cyclesFor at fill time
-  /// so the hit path charges cycles with one load instead of an operand
-  /// walk.
-  struct DecodeLine {
-    uint32_t Tag = 0;
-    uint32_t Gen = 0;
-    uint32_t Cost = 0;
-    DecodedInstr DI;
-  };
   // The derived host-side tables live in CowArrays so a forked machine
-  // shares them: copying ~5MB of decode cache per tenant would dwarf the
-  // tenant's real footprint.
+  // shares them: the decode cache alone is 896KB (32K 28-byte lines), more
+  // than a tenant's private footprint.
   CowArray<DecodeLine> DecodeCache; ///< DecodeCacheLines entries
-  CowArray<uint32_t> LineGen;       ///< per-WriteWatchLine generation
 
   /// Write-monitor state, one word per WriteWatchLine-sized line:
-  /// bit 0 is sticky "a decode was cached from this line" (stores there
-  /// must invalidate); bits 1+ count live write watches (registrations
-  /// nest). Zero means stores to the line are unmonitored — the common
-  /// case, and noteWrite's single-load fast path.
+  /// bit 0 is sticky "a decode was cached from bytes of this line"; bits 1+
+  /// count live write watches (registrations nest). Zero means stores to
+  /// the line are unmonitored — the common case, and noteWrite's
+  /// single-load fast path.
   CowArray<uint32_t> LineState;
+  /// Per line with LineState bit 0 set: the sticky extent of bytes decodes
+  /// were cached from, as first (low byte) and last (high byte) offset in
+  /// the line. A store outside it — data sharing a line with code — queues
+  /// no invalidation.
+  CowArray<uint16_t> DecodedSpan;
   std::vector<CodeWriteEvent> CodeWrites;
   std::vector<CodeWriteEvent> PendingInval; ///< drained at next step()
 

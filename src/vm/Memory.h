@@ -182,18 +182,28 @@ public:
   /// epoch change.
   uint64_t mutEpoch() const { return MutEpoch; }
 
-  bool read8(uint32_t Addr, uint8_t &Value) const {
+  RIO_ALWAYS_INLINE bool read8(uint32_t Addr, uint8_t &Value) const {
     if (RIO_UNLIKELY(Addr >= Sz))
       return false;
     Value = Pages[Addr >> CowBlockShift][Addr & (CowBlockBytes - 1)];
     return true;
   }
-  bool read16(uint32_t Addr, uint16_t &Value) const { return readN(Addr, &Value); }
-  bool read32(uint32_t Addr, uint32_t &Value) const { return readN(Addr, &Value); }
-  bool read64(uint32_t Addr, uint64_t &Value) const { return readN(Addr, &Value); }
-  bool readF64(uint32_t Addr, double &Value) const { return readN(Addr, &Value); }
+  // The accessors are force-inlined: the interpreter makes one per
+  // simulated load or store.
+  RIO_ALWAYS_INLINE bool read16(uint32_t Addr, uint16_t &Value) const {
+    return readN(Addr, &Value);
+  }
+  RIO_ALWAYS_INLINE bool read32(uint32_t Addr, uint32_t &Value) const {
+    return readN(Addr, &Value);
+  }
+  RIO_ALWAYS_INLINE bool read64(uint32_t Addr, uint64_t &Value) const {
+    return readN(Addr, &Value);
+  }
+  RIO_ALWAYS_INLINE bool readF64(uint32_t Addr, double &Value) const {
+    return readN(Addr, &Value);
+  }
 
-  bool write8(uint32_t Addr, uint8_t Value) {
+  RIO_ALWAYS_INLINE bool write8(uint32_t Addr, uint8_t Value) {
     if (RIO_UNLIKELY(Addr >= Sz))
       return false;
     uint32_t Page = Addr >> CowBlockShift;
@@ -203,10 +213,18 @@ public:
     Data[Addr & (CowBlockBytes - 1)] = Value;
     return true;
   }
-  bool write16(uint32_t Addr, uint16_t Value) { return writeN(Addr, &Value); }
-  bool write32(uint32_t Addr, uint32_t Value) { return writeN(Addr, &Value); }
-  bool write64(uint32_t Addr, uint64_t Value) { return writeN(Addr, &Value); }
-  bool writeF64(uint32_t Addr, double Value) { return writeN(Addr, &Value); }
+  RIO_ALWAYS_INLINE bool write16(uint32_t Addr, uint16_t Value) {
+    return writeN(Addr, &Value);
+  }
+  RIO_ALWAYS_INLINE bool write32(uint32_t Addr, uint32_t Value) {
+    return writeN(Addr, &Value);
+  }
+  RIO_ALWAYS_INLINE bool write64(uint32_t Addr, uint64_t Value) {
+    return writeN(Addr, &Value);
+  }
+  RIO_ALWAYS_INLINE bool writeF64(uint32_t Addr, double Value) {
+    return writeN(Addr, &Value);
+  }
 
   /// Copies a block out of the image; returns false on overflow.
   bool readBlock(uint32_t Addr, uint8_t *Dst, uint32_t Len) const {
@@ -281,7 +299,8 @@ public:
   }
 
 private:
-  template <typename T> bool readN(uint32_t Addr, T *Value) const {
+  template <typename T>
+  RIO_ALWAYS_INLINE bool readN(uint32_t Addr, T *Value) const {
     uint32_t Off = Addr & (CowBlockBytes - 1);
     if (RIO_LIKELY(Off <= CowBlockBytes - sizeof(T) && Addr <= Sz - sizeof(T) &&
                    Addr <= Sz)) // Addr<=Sz guards the Sz-sizeof(T) underflow
@@ -290,7 +309,8 @@ private:
     return readBlock(Addr, reinterpret_cast<uint8_t *>(Value), sizeof(T));
   }
 
-  template <typename T> bool writeN(uint32_t Addr, const T *Value) {
+  template <typename T>
+  RIO_ALWAYS_INLINE bool writeN(uint32_t Addr, const T *Value) {
     uint32_t Off = Addr & (CowBlockBytes - 1);
     if (RIO_LIKELY(Off <= CowBlockBytes - sizeof(T) && Addr <= Sz - sizeof(T) &&
                    Addr <= Sz)) {
@@ -387,7 +407,7 @@ public:
 
   size_t size() const { return N; }
 
-  const T &operator[](size_t Idx) const {
+  RIO_ALWAYS_INLINE const T &operator[](size_t Idx) const {
     assert(Idx < N && "CowArray index out of range");
     return *reinterpret_cast<const T *>(
         Chunks[Idx >> ChunkShift] +

@@ -546,7 +546,7 @@ TEST(Predictors, RasOverflowWrapsGracefully) {
 }
 
 //===----------------------------------------------------------------------===//
-// Decode cache (direct-mapped, generation-invalidated)
+// Decode cache (direct-mapped, pc-tagged)
 //===----------------------------------------------------------------------===//
 
 /// Encodes \p I at \p Pc in \p M's memory; returns the encoded length.
@@ -569,22 +569,25 @@ TEST(VmDecodeCache, AliasingPcsNeverServeWrongDecode) {
   placeInstr(M, Pc2, Instr::createSynth(A, OP_mov, {Operand::reg(REG_EBX),
                                                     Operand::imm(222, 4)}));
 
-  const DecodedInstr *D1 = M.fetchDecode(Pc1);
+  const DecodeLine *D1 = M.fetchDecode(Pc1);
   ASSERT_NE(D1, nullptr);
-  EXPECT_EQ(D1->Op, OP_mov);
-  EXPECT_EQ(D1->Srcs[0].getImm(), 111);
+  EXPECT_EQ(D1->opcode(), OP_mov);
+  EXPECT_EQ(D1->H, H_MovRI);
+  EXPECT_EQ(D1->Imm, 111u);
 
   // The aliasing pc evicts Pc1's line but must decode its own bytes.
-  const DecodedInstr *D2 = M.fetchDecode(Pc2);
+  const DecodeLine *D2 = M.fetchDecode(Pc2);
   ASSERT_NE(D2, nullptr);
-  EXPECT_EQ(D2->Srcs[0].getImm(), 222);
-  EXPECT_EQ(D2->Dsts[0].getReg(), REG_EBX);
+  EXPECT_EQ(D2->Tag, ~Pc2);
+  EXPECT_EQ(D2->Imm, 222u);
+  EXPECT_EQ(D2->Reg, REG_EBX - REG_EAX);
 
   // Ping-pong: refilling after eviction still yields the right decode.
   D1 = M.fetchDecode(Pc1);
   ASSERT_NE(D1, nullptr);
-  EXPECT_EQ(D1->Srcs[0].getImm(), 111);
-  EXPECT_EQ(D1->Dsts[0].getReg(), REG_EAX);
+  EXPECT_EQ(D1->Tag, ~Pc1);
+  EXPECT_EQ(D1->Imm, 111u);
+  EXPECT_EQ(D1->Reg, REG_EAX - REG_EAX);
 }
 
 TEST(VmDecodeCache, RangeInvalidationDropsStaleDecode) {
@@ -595,9 +598,10 @@ TEST(VmDecodeCache, RangeInvalidationDropsStaleDecode) {
       M, Pc,
       Instr::createSynth(A, OP_mov,
                          {Operand::reg(REG_EAX), Operand::imm(1, 4)}));
-  const DecodedInstr *D = M.fetchDecode(Pc);
+  const DecodeLine *D = M.fetchDecode(Pc);
   ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->Srcs[0].getImm(), 1);
+  EXPECT_EQ(D->Imm, 1u);
+  EXPECT_EQ(D->Length, Len);
 
   // Overwrite the bytes and invalidate: the next fetch must re-decode.
   placeInstr(M, Pc, Instr::createSynth(A, OP_mov, {Operand::reg(REG_EAX),
@@ -605,16 +609,15 @@ TEST(VmDecodeCache, RangeInvalidationDropsStaleDecode) {
   M.invalidateDecodeRange(Pc, Pc + Len);
   D = M.fetchDecode(Pc);
   ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->Srcs[0].getImm(), 2);
+  EXPECT_EQ(D->Imm, 2u);
 }
 
 TEST(VmDecodeCache, InvalidationOfOneLineSparesAliasedOther) {
   Machine M;
   Arena A(1024);
-  // Same decode-cache line, different write-watch lines: invalidating
-  // around Pc1 bumps only Pc1's line generation. Pc2's decode, filled
-  // afterwards into the shared line, must survive an invalidation aimed
-  // at Pc1's range, and Pc1 must re-decode fresh bytes on its next fetch.
+  // Same decode-cache line, far apart in memory: an invalidation aimed at
+  // Pc1's range must spare Pc2's decode, filled afterwards into the shared
+  // line, and Pc1 must re-decode fresh bytes on its next fetch.
   uint32_t Pc1 = 0x300;
   uint32_t Pc2 = Pc1 + Machine::DecodeCacheLines;
   unsigned Len1 = placeInstr(
@@ -629,13 +632,191 @@ TEST(VmDecodeCache, InvalidationOfOneLineSparesAliasedOther) {
                                                     Operand::imm(11, 4)}));
   M.invalidateDecodeRange(Pc1, Pc1 + Len1);
 
-  const DecodedInstr *D2 = M.fetchDecode(Pc2);
+  const DecodeLine *D2 = M.fetchDecode(Pc2);
   ASSERT_NE(D2, nullptr);
-  EXPECT_EQ(D2->Srcs[0].getImm(), 20);
+  EXPECT_EQ(D2->Imm, 20u);
+  EXPECT_EQ(D2->Reg, REG_ECX - REG_EAX);
 
-  const DecodedInstr *D1 = M.fetchDecode(Pc1);
+  const DecodeLine *D1 = M.fetchDecode(Pc1);
   ASSERT_NE(D1, nullptr);
-  EXPECT_EQ(D1->Srcs[0].getImm(), 11);
+  EXPECT_EQ(D1->Imm, 11u);
+}
+
+TEST(VmDecodeCache, InvalidationDropsExactlyTheOverlappingDecodes) {
+  Machine M;
+  Arena A(1024);
+  // Bytes patched behind the machine's back show whether a decode was
+  // dropped (fresh bytes) or kept (the cached ones).
+  auto Patch = [&](uint32_t Pc, uint8_t Imm) {
+    ASSERT_TRUE(M.mem().writeBlock(Pc + 1, &Imm, 1)); // mov r32, imm32
+  };
+  uint32_t Pc1 = 0x300;
+  uint32_t Pc2 = Pc1 + Machine::DecodeCacheLines;
+  uint32_t Pc3 = 0x700;
+  unsigned Len1 = placeInstr(
+      M, Pc1,
+      Instr::createSynth(A, OP_mov,
+                         {Operand::reg(REG_EAX), Operand::imm(10, 4)}));
+  placeInstr(M, Pc2, Instr::createSynth(A, OP_mov, {Operand::reg(REG_ECX),
+                                                    Operand::imm(20, 4)}));
+  unsigned Len3 = placeInstr(
+      M, Pc3,
+      Instr::createSynth(A, OP_mov,
+                         {Operand::reg(REG_EDX), Operand::imm(30, 4)}));
+  ASSERT_NE(M.fetchDecode(Pc2), nullptr);
+  ASSERT_NE(M.fetchDecode(Pc3), nullptr);
+  Patch(Pc2, 21);
+  Patch(Pc3, 31);
+
+  // Pc2 shares Pc1's cache line but not its bytes: kept.
+  M.invalidateDecodeRange(Pc1, Pc1 + Len1);
+  EXPECT_EQ(M.fetchDecode(Pc2)->Imm, 20u);
+  // A range covering only Pc3's last byte still drops it.
+  M.invalidateDecodeRange(Pc3 + Len3 - 1, Pc3 + Len3);
+  EXPECT_EQ(M.fetchDecode(Pc3)->Imm, 31u);
+  // A range wider than the cache drops every decode inside it.
+  M.invalidateDecodeRange(0, uint32_t(M.mem().size()));
+  EXPECT_EQ(M.fetchDecode(Pc2)->Imm, 21u);
+}
+
+TEST(VmDecodeCache, LinesArePreResolved) {
+  Machine M;
+  Arena A(1024);
+  // A scaled-index memory operand, a high byte register and a branch
+  // target, each resolved into the line's own fields.
+  uint32_t Pc = 0x400;
+  unsigned Len = placeInstr(
+      M, Pc,
+      Instr::createSynth(A, OP_add,
+                         {Operand::reg(REG_EDX),
+                          Operand::mem(REG_EBX, -12, 4, REG_ESI, 8)}));
+  const DecodeLine *D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->H, H_AddRM);
+  EXPECT_EQ(D->Reg, REG_EDX - REG_EAX);
+  EXPECT_EQ(D->Base, REG_EBX - REG_EAX);
+  EXPECT_EQ(D->Index, REG_ESI - REG_EAX);
+  EXPECT_EQ(D->ScaleShift, 3);
+  EXPECT_EQ(D->Disp, -12);
+  EXPECT_FALSE(D->isCti());
+  EXPECT_EQ(D->Cost, M.cost().LoadCostInt + opcodeInfo(OP_add).BaseCycles);
+
+  Pc += Len;
+  Len = placeInstr(M, Pc,
+                   Instr::createSynth(A, OP_mov_b,
+                                      {Operand::reg(REG_BH),
+                                       Operand::memAbs(0x1234, 1)}));
+  D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->H, H_MovbRM);
+  EXPECT_EQ(D->Reg, (REG_EBX - REG_EAX) | DecodeLine::ByteHigh);
+  EXPECT_EQ(D->Base, DecodeLine::NoReg);
+  EXPECT_EQ(D->Index, DecodeLine::NoReg);
+  EXPECT_EQ(D->Disp, 0x1234);
+
+  Pc += Len;
+  placeInstr(M, Pc, Instr::createSynth(A, OP_jnz, {Operand::pc(0x40)}));
+  D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->H, H_Jnz);
+  EXPECT_EQ(D->Imm, 0x40u);
+  EXPECT_TRUE(D->isCti());
+}
+
+TEST(VmDecodeCache, StoresBesideDecodedBytesDoNotInvalidate) {
+  Machine M;
+  Arena A(1024);
+  // Code and data share one write-watch line: a store to the data must
+  // not orphan the decode; a store into the instruction must.
+  uint32_t Pc = 0x500;
+  unsigned Len1 = placeInstr(
+      M, Pc,
+      Instr::createSynth(A, OP_mov,
+                         {Operand::memAbs(Pc + 0x40), Operand::imm(7, 4)}));
+  uint32_t At = Pc + Len1;
+  At += placeInstr(M, At, Instr::createSynth(A, OP_nop, {}));
+  // Rewrites the first instruction's disp32 (after its opcode and ModRM).
+  At += placeInstr(M, At, Instr::createSynth(A, OP_mov,
+                                             {Operand::memAbs(Pc + 2),
+                                              Operand::imm(0x1234, 4)}));
+  placeInstr(M, At, Instr::createSynth(A, OP_nop, {}));
+
+  M.cpu().Pc = Pc;
+  ASSERT_EQ(M.step().Kind, StepKind::Ok); // the data store
+  ASSERT_EQ(M.step().Kind, StepKind::Ok); // nop: would drain an invalidation
+  uint32_t Data = 0;
+  ASSERT_TRUE(M.mem().read32(Pc + 0x40, Data));
+  EXPECT_EQ(Data, 7u);
+  // Patch the immediate behind the machine's back: a decode that survived
+  // the data store still serves the old one.
+  const uint8_t NewImm[4] = {9, 0, 0, 0};
+  ASSERT_TRUE(M.mem().writeBlock(Pc + Len1 - 4, NewImm, 4));
+  const DecodeLine *D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Imm, 7u);
+
+  ASSERT_EQ(M.step().Kind, StepKind::Ok); // the store into the code
+  ASSERT_EQ(M.step().Kind, StepKind::Ok); // nop: drains the invalidation
+  D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(uint32_t(D->Disp), 0x1234u);
+  EXPECT_EQ(D->Imm, 9u);
+}
+
+TEST(VmDecodeCache, StoreIntoLineSpillOverInvalidates) {
+  Machine M;
+  Arena A(1024);
+  // An instruction that starts 2 bytes before a write-watch line boundary
+  // spills into the next line; a store to the spilled bytes alone must
+  // still orphan its decode.
+  uint32_t Pc = 2 * Machine::WriteWatchLine - 2;
+  unsigned Len = placeInstr(
+      M, Pc,
+      Instr::createSynth(A, OP_mov,
+                         {Operand::reg(REG_EAX), Operand::imm(5, 4)}));
+  ASSERT_GT(Pc + Len, 2 * Machine::WriteWatchLine);
+  uint32_t Store = 0x1000;
+  unsigned StoreLen = placeInstr(
+      M, Store,
+      Instr::createSynth(A, OP_mov_b,
+                         {Operand::memAbs(Pc + Len - 1, 1),
+                          Operand::imm(0x66, 1)}));
+  placeInstr(M, Store + StoreLen, Instr::createSynth(A, OP_nop, {}));
+  ASSERT_NE(M.fetchDecode(Pc), nullptr);
+  M.cpu().Pc = Store;
+  ASSERT_EQ(M.step().Kind, StepKind::Ok);
+  ASSERT_EQ(M.step().Kind, StepKind::Ok); // drains the invalidation
+  const DecodeLine *D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Imm, 0x66000005u);
+}
+
+TEST(VmDecodeCache, StoreEndingOnFirstDecodedByteInvalidates) {
+  Machine M;
+  Arena A(1024);
+  // The only decode in its line starts at Pc; a 4-byte store whose last
+  // byte is the opcode byte overlaps the line's decoded extent by one.
+  uint32_t Pc = 0x608;
+  placeInstr(M, Pc,
+             Instr::createSynth(A, OP_mov,
+                                {Operand::reg(REG_EAX), Operand::imm(3, 4)}));
+  ASSERT_EQ(M.fetchDecode(Pc)->Reg, REG_EAX - REG_EAX);
+  uint32_t Store = 0x1000;
+  // mov dword [Pc-3], 0xB9000000: the top byte turns `mov eax` (B8) into
+  // `mov ecx` (B9).
+  unsigned StoreLen = placeInstr(
+      M, Store,
+      Instr::createSynth(A, OP_mov,
+                         {Operand::memAbs(Pc - 3),
+                          Operand::imm(0xB9000000, 4)}));
+  placeInstr(M, Store + StoreLen, Instr::createSynth(A, OP_nop, {}));
+  M.cpu().Pc = Store;
+  ASSERT_EQ(M.step().Kind, StepKind::Ok);
+  ASSERT_EQ(M.step().Kind, StepKind::Ok); // drains the invalidation
+  const DecodeLine *D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Reg, REG_ECX - REG_EAX);
+  EXPECT_EQ(D->Imm, 3u);
 }
 
 TEST(VmDecodeCache, OutOfRangePcReturnsNull) {
