@@ -26,23 +26,22 @@
 /// virtual completion latency can return a sliver of that on a workload
 /// with very few traces).
 ///
-/// Simulated cycles and publication counts are exact and diffable across
-/// commits; bench_compare.py gates them hard. Host wall clock of each
-/// run is reported informationally only.
+/// Simulated cycles and the publication, stale-drop and trace counts are
+/// declared exact, so bench_compare.py gates them bit-identical across
+/// commits. Host wall clock of each run is only shown.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "clients/Clients.h"
 #include "core/Runtime.h"
 #include "core/Sideline.h"
+#include "harness/BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 using namespace rio;
 
@@ -243,28 +242,6 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"published\": %llu, \"stale_drops\": %llu, "
-                 "\"traces\": %llu, \"host_ns\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Published,
-                 (unsigned long long)S.StaleDrops,
-                 (unsigned long long)S.Traces, (unsigned long long)S.HostNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -283,7 +260,7 @@ int main(int Argc, char **Argv) {
                         {"rettree", rettreeSource(1300)},
                         {"interp", interpSource(80)}};
 
-  std::vector<Sample> Samples;
+  BenchJson J;
   int AsyncWins = 0;
   for (const Spec &S : Specs) {
     Program Prog;
@@ -315,19 +292,21 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Async.Cycles,
               (unsigned long long)Async.Published,
               (unsigned long long)Async.StaleDrops);
-    Samples.push_back(std::move(Off));
-    Samples.push_back(std::move(Sync));
-    Samples.push_back(std::move(Async));
+    for (const Sample *Row : {&Off, &Sync, &Async})
+      J.row(Row->Config)
+          .exact("cycles", Row->Cycles)
+          .exact("published", Row->Published)
+          .exact("stale_drops", Row->StaleDrops)
+          .exact("traces", Row->Traces)
+          .host("host_ns", Row->HostNs);
   }
 
   OS.printf("\nasync beat sync outright on %d of 3 workloads\n", AsyncWins);
   if (AsyncWins < 2)
     die("async steady-state cycles must beat sync on at least 2 workloads");
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
+  if (!J.write(OutPath))
     return 1;
-  }
   OS.printf("wrote %s\n", OutPath);
   return 0;
 }

@@ -21,20 +21,19 @@
 /// private cache), IBL behavior, trace heads, and context swaps. Shared
 /// mode builds each fragment once but pays a slot-window swap on every
 /// quantum context switch; private mode duplicates the code but swaps
-/// nothing. Both numbers are fully deterministic (simulated clock), so
-/// BENCH_threads.json diffs exactly across commits.
+/// nothing. Every number is deterministic (simulated clock), so
+/// BENCH_threads.json declares them all exact.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/ThreadedRunner.h"
+#include "harness/BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 using namespace rio;
 
@@ -104,7 +103,6 @@ Program sharedWorkProgram(int Workers, int Iters) {
 struct ModeSample {
   std::string Config; ///< e.g. "private_w4"
   int Workers = 0;
-  const char *Mode = "";
   uint64_t Cycles = 0;
   uint64_t NativeCycles = 0;
   uint64_t CacheBytes = 0; ///< peak bb+trace bytes, summed over caches
@@ -135,7 +133,6 @@ bool measureMode(const Program &Prog, CacheSharing Sharing,
   Out.Config = std::string(IsShared ? "shared" : "private") + "_w" +
                std::to_string(Workers);
   Out.Workers = Workers;
-  Out.Mode = IsShared ? "shared" : "private";
   Out.Cycles = R.Cycles;
   Out.NativeCycles = NativeCycles;
 
@@ -162,33 +159,6 @@ bool measureMode(const Program &Prog, CacheSharing Sharing,
   return true;
 }
 
-bool writeJson(const char *Path, const std::vector<ModeSample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const ModeSample &S = Samples[Idx];
-    std::fprintf(
-        F,
-        "  {\"config\": \"%s\", \"workers\": %d, \"mode\": \"%s\", "
-        "\"cycles\": %llu, \"native_cycles\": %llu, \"cache_bytes\": %llu, "
-        "\"fragments\": %llu, \"duplicated_fragments\": %llu, "
-        "\"ibl_lookups\": %llu, \"ibl_hits\": %llu, \"trace_heads\": %llu, "
-        "\"context_swaps\": %llu}%s\n",
-        S.Config.c_str(), S.Workers, S.Mode, (unsigned long long)S.Cycles,
-        (unsigned long long)S.NativeCycles, (unsigned long long)S.CacheBytes,
-        (unsigned long long)S.Fragments,
-        (unsigned long long)S.DuplicatedFragments,
-        (unsigned long long)S.IblLookups, (unsigned long long)S.IblHits,
-        (unsigned long long)S.TraceHeads, (unsigned long long)S.ContextSwaps,
-        Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -201,7 +171,7 @@ int main(int Argc, char **Argv) {
             "vs native", "cachebyte", "frags", "dupfrag", "traces",
             "ctxswaps");
 
-  std::vector<ModeSample> Samples;
+  BenchJson J;
   bool SharedAlwaysSmaller = true;
   for (int Workers : {2, 4, 7}) {
     Program Prog = sharedWorkProgram(Workers, 40000);
@@ -235,14 +205,22 @@ int main(int Argc, char **Argv) {
         PrivateBytes = S.CacheBytes;
       else if (S.CacheBytes >= PrivateBytes)
         SharedAlwaysSmaller = false;
-      Samples.push_back(std::move(S));
+      J.row(S.Config)
+          .exact("workers", S.Workers)
+          .exact("cycles", S.Cycles)
+          .exact("native_cycles", S.NativeCycles)
+          .exact("cache_bytes", S.CacheBytes)
+          .exact("fragments", S.Fragments)
+          .exact("duplicated_fragments", S.DuplicatedFragments)
+          .exact("ibl_lookups", S.IblLookups)
+          .exact("ibl_hits", S.IblHits)
+          .exact("trace_heads", S.TraceHeads)
+          .exact("context_swaps", S.ContextSwaps);
     }
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("failed to write %s\n", OutPath);
+  if (!J.write(OutPath))
     return 1;
-  }
   OS.printf("\nwrote %s\n", OutPath);
   OS.printf("\nShared mode builds each fragment once (zero duplication, "
             "fewer total\ncache bytes) but pays a slot-window swap per "

@@ -27,9 +27,9 @@
 /// guard ever fails on these stable workloads, and the non-speculative tier
 /// alone cuts aggregate simulated cycles by at least 10% against base.
 ///
-/// Simulated cycles, publication, guard, and deopt counts are exact and
-/// diffable across commits; bench_compare.py gates them hard. Host wall
-/// clock is reported informationally only.
+/// Simulated cycles and the guard, publication, deopt and trace counts are
+/// declared exact, so bench_compare.py gates them bit-identical across
+/// commits. Host wall clock is only shown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,15 +37,14 @@
 #include "core/Runtime.h"
 #include "core/Sideline.h"
 #include "core/TraceOpt.h"
+#include "harness/BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 #include "support/Profile.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 using namespace rio;
 
@@ -217,30 +216,6 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"guards\": %llu, \"published\": %llu, "
-                 "\"deopts\": %llu, \"traces\": %llu, "
-                 "\"host_ns\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Guards,
-                 (unsigned long long)S.Published,
-                 (unsigned long long)S.Deopts, (unsigned long long)S.Traces,
-                 (unsigned long long)S.HostNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -259,8 +234,8 @@ int main(int Argc, char **Argv) {
                         {"incdec", incdecSource(4000)},
                         {"deadstore", deadstoreSource(4000)}};
 
-  std::vector<Sample> Samples;
-  uint64_t BaseTotal = 0, OptTotal = 0;
+  BenchJson J;
+  uint64_t BaseTotal = 0, OptTotal = 0, SpecGuards = 0;
   for (const Spec &S : Specs) {
     Program Prog;
     std::string Error;
@@ -296,9 +271,15 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Base.Cycles, (unsigned long long)Opt.Cycles,
               (unsigned long long)Sp.Cycles, (unsigned long long)Sp.Guards,
               (unsigned long long)Sp.Deopts);
-    Samples.push_back(std::move(Base));
-    Samples.push_back(std::move(Opt));
-    Samples.push_back(std::move(Sp));
+    SpecGuards += Sp.Guards;
+    for (const Sample *Row : {&Base, &Opt, &Sp})
+      J.row(Row->Config)
+          .exact("cycles", Row->Cycles)
+          .exact("guards", Row->Guards)
+          .exact("published", Row->Published)
+          .exact("deopts", Row->Deopts)
+          .exact("traces", Row->Traces)
+          .host("host_ns", Row->HostNs);
   }
 
   double Reduction = 100.0 * double(BaseTotal - OptTotal) / double(BaseTotal);
@@ -310,17 +291,11 @@ int main(int Argc, char **Argv) {
 
   // At least one workload's spec run must actually speculate: guards are
   // the whole point of the tier, and every site here is stable.
-  uint64_t SpecGuards = 0;
-  for (const Sample &S : Samples)
-    if (S.Config.find("_spec") != std::string::npos)
-      SpecGuards += S.Guards;
   if (SpecGuards == 0)
     die("speculative runs emitted no guards at all");
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
+  if (!J.write(OutPath))
     return 1;
-  }
   OS.printf("wrote %s\n", OutPath);
   return 0;
 }

@@ -124,8 +124,8 @@ void IBDispatchClient::rewriteTrace(Runtime &RT, Site &S) {
   //   <original: clientcall ; jmp *[IbTargetSlot]>
   //   hitK: mov ecx, [spill2] ; jmp TK      (direct exits, linkable)
   Operand Ecx = Operand::reg(REG_ECX);
-  Operand Spill =
-      Operand::memAbs(dr_spill_slot_addr(context, /*index=*/2), 4);
+  Operand Spill = Operand::memAbs(
+      dr_spill_slot_addr(context, RuntimeSlots::SpillIbDispatch), 4);
   Operand TargetSlot = Operand::memAbs(RT.slots().IbTargetSlot, 4);
 
   auto insert = [&](Instr *I) {

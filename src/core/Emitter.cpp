@@ -131,7 +131,8 @@ void Runtime::mangleForCache(InstrList &IL) {
       Register Scratch = REG_EAX;
       while (Rm.usesRegister(Scratch))
         Scratch = Register(Scratch + 1);
-      Operand Spill = Operand::memAbs(Slots.SpillSlots, 4);
+      Operand Spill =
+          Operand::memAbs(Slots.spill(RuntimeSlots::SpillMangle), 4);
       Operand TargetSlot = Operand::memAbs(Slots.IbTargetSlot, 4);
       Instr *Seq[6] = {
           Instr::createSynth(A, OP_mov, {Spill, Operand::reg(Scratch)}),

@@ -32,15 +32,17 @@
 ///   A1: mov ecx, [X] ; jmp T1         ; direct exit, linked to T1's body
 ///   A2: mov ecx, [X] ; jmp T2
 ///
-/// Like the trace builder's single-target inline check, the comparison is
-/// built from lea and jecxz so no eflags are touched. One ecx spill serves
-/// the whole chain; the naive per-segment spill/restore bracketing is
-/// collapsed by core/Analysis's redundant-spill pass, and the same rewrite
-/// makes the client's conservative savef/restf pairs re-analyzable.
+/// The pieces come from core/FlagNeutralCheck, the builder the trace's
+/// single-target inline check also uses, so no eflags are touched; X is
+/// RuntimeSlots::SpillIbChain. One ecx spill serves the whole chain: the
+/// naive per-segment spill/restore bracketing is collapsed by
+/// core/Analysis's redundant-spill pass, and the same rewrite makes the
+/// client's conservative savef/restf pairs re-analyzable.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Analysis.h"
+#include "core/FlagNeutralCheck.h"
 #include "core/Runtime.h"
 
 #include "ir/Build.h"
@@ -185,71 +187,36 @@ bool Runtime::ibRewriteSite(Fragment *Owner, unsigned ExitIdx,
   if (Op != OP_ret && Op != OP_ret_imm && Op != OP_jmp_ind)
     return Poison(); // calls are mangled away before emission
 
-  Operand Ecx = Operand::reg(REG_ECX);
-  // Slot 7: slots 0/1 belong to mangling and trace checks, slot 2 to the
-  // IB-dispatch client — all of which may be live across the chain.
-  Operand X = Operand::memAbs(Slots.SpillSlots + 28, 4);
-  Operand T = Operand::memAbs(Slots.IbTargetSlot, 4);
-
   // Build the chain as self-contained segments; collapseRedundantSpills
   // below merges the segment boundaries into a single spill/restore.
+  Operand T = Operand::memAbs(Slots.IbTargetSlot, 4);
   InstrList Chain(A);
-  auto add = [&](Instr *I) {
-    assert(I && "failed to create chain instruction");
-    I->setAppAddr(Site);
-    Chain.append(I);
-    return I;
-  };
+  FlagNeutralCheck C(Chain, Slots.spill(RuntimeSlots::SpillIbChain), Site);
 
   // Materialize the target into [T] (and ecx).
-  add(Instr::createSynth(A, OP_mov, {X, Ecx}));
-  switch (Op) {
-  case OP_ret:
-  case OP_ret_imm: {
-    add(Instr::createSynth(A, OP_mov, {Ecx, Operand::mem(REG_ESP, 0, 4)}));
-    int32_t Pop = 4;
-    if (Op == OP_ret_imm)
-      Pop += int32_t(SiteI->getSrc(0).getImm());
-    add(Instr::createSynth(
-        A, OP_lea, {Operand::reg(REG_ESP), Operand::mem(REG_ESP, Pop, 4)}));
-    break;
-  }
-  case OP_jmp_ind:
-    add(Instr::createSynth(A, OP_mov, {Ecx, SiteI->getSrc(0)}));
-    break;
-  default:
-    RIO_UNREACHABLE("filtered above");
-  }
-  add(Instr::createSynth(A, OP_mov, {T, Ecx}));
-  add(Instr::createSynth(A, OP_mov, {Ecx, X}));
+  C.spill();
+  C.loadTarget(*SiteI);
+  C.emit(OP_mov, {T, Operand::reg(REG_ECX)});
+  C.restore();
 
   // One lea/jecxz check per target.
   std::vector<Instr *> ArmLabels;
   for (unsigned K = 0; K != NumTargets; ++K) {
-    add(Instr::createSynth(A, OP_mov, {X, Ecx}));
-    add(Instr::createSynth(A, OP_mov, {Ecx, T}));
-    add(Instr::createSynth(
-        A, OP_lea, {Ecx, Operand::mem(REG_ECX, -int32_t(Targets[K]), 4)}));
-    Instr *Arm = Instr::createLabel(A);
-    ArmLabels.push_back(Arm);
-    Instr *Jecxz = Instr::createSynth(A, OP_jecxz, {Operand::pc(0)});
-    Jecxz->setBranchTargetLabel(Arm);
-    add(Jecxz);
-    add(Instr::createSynth(A, OP_mov, {Ecx, X}));
+    C.spill();
+    C.load(T);
+    ArmLabels.push_back(C.test(Targets[K]));
+    C.restore();
   }
 
   // Chain miss: the ordinary indirect path, marked so its exit never
   // re-triggers a rewrite and misses are counted at the IBL.
-  Instr *Tail = add(Instr::createSynth(A, OP_jmp_ind, {T}));
-  Tail->setIbMissCti(true);
+  C.emit(OP_jmp_ind, {T})->setIbMissCti(true);
 
   // Match arms: restore ecx, then a direct exit to the target's tag.
   for (unsigned K = 0; K != NumTargets; ++K) {
     Chain.append(ArmLabels[K]);
-    add(Instr::createSynth(A, OP_mov, {Ecx, X}));
-    Instr *Jmp = add(
-        Instr::createSynth(A, OP_jmp, {Operand::pc(Targets[K])}));
-    Jmp->setIbArmCti(true);
+    C.restore();
+    C.emit(OP_jmp, {Operand::pc(Targets[K])})->setIbArmCti(true);
   }
 
   // Splice the chain in: in place when the site terminates the fragment,
@@ -262,12 +229,7 @@ bool Runtime::ibRewriteSite(Fragment *Owner, unsigned ExitIdx,
       break;
     }
   if (SiteIsLast) {
-    for (Instr *I = Chain.first(); I;) {
-      Instr *Next = I->next();
-      Chain.remove(I);
-      IL->insertBefore(SiteI, I);
-      I = Next;
-    }
+    IL->splice(Chain, SiteI);
     IL->remove(SiteI);
   } else {
     Instr *ChainLabel = Instr::createLabel(A);

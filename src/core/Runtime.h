@@ -68,6 +68,18 @@ struct RuntimeSlots {
   uint32_t ClientTlsSlot;   ///< generic client thread-local field
   uint32_t SpillSlots;      ///< 8 register spill slots (4 bytes each)
   uint32_t ScratchSlots;    ///< 16 scratch words for client use
+
+  /// Which inserted code owns which spill slot. Sequences that can be live
+  /// at the same time need distinct slots, or one clobbers the ecx another
+  /// saved; slots 3-5 are left to clients.
+  enum Spill : unsigned {
+    SpillMangle = 0,     ///< call* mangling's scratch register
+    SpillTraceCheck = 1, ///< trace-inlined indirect-branch checks
+    SpillIbDispatch = 2, ///< the IB-dispatch client's chain
+    SpillGuard = 6,      ///< speculative TraceOpt guards
+    SpillIbChain = 7,    ///< IbInline target chains
+  };
+  uint32_t spill(Spill Slot) const { return SpillSlots + 4 * Slot; }
 };
 
 /// A sub-range of the machine's runtime region assigned to one Runtime
@@ -549,8 +561,7 @@ private:
   void abortTrace();
   InstrList *buildTraceList(const std::vector<AppPc> &Blocks,
                             unsigned &NumInstrs);
-  void inlineIndirectCheck(InstrList &IL, Instr *IndirectCti, AppPc NextTag,
-                           InstrList &MissCode);
+  void inlineIndirectCheck(InstrList &IL, Instr *IndirectCti, AppPc NextTag);
 
   Machine &M;
   RuntimeConfig Config;

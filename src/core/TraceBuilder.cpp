@@ -13,14 +13,16 @@
 /// mode and stitches the subsequently executed blocks into a trace,
 /// consulting the client's end-trace hook before each extension. Indirect
 /// branches crossed by the trace are inlined behind a compare against the
-/// recorded next block, with a miss path at the bottom of the trace that
-/// hands the real target to the IBL — preserving linear control flow.
+/// recorded next block. The miss path that hands the real target to the IBL
+/// sits inline, right after the compare, because `jecxz` only has a rel8
+/// form and could not reach the bottom of a long trace.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
 
 #include "core/Analysis.h"
+#include "core/FlagNeutralCheck.h"
 #include "ir/Build.h"
 #include "support/Compiler.h"
 
@@ -167,8 +169,6 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
   Arena &A = FragArena;
   auto *IL =
       new (A.allocate(sizeof(InstrList), alignof(InstrList))) InstrList(A);
-  auto *MissCode =
-      new (A.allocate(sizeof(InstrList), alignof(InstrList))) InstrList(A);
 
   uint32_t AppSize = M.runtimeBase();
   NumInstrs = 0;
@@ -270,23 +270,15 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
   }
 
   for (const PendingInline &PI : Inlines)
-    inlineIndirectCheck(*IL, PI.Cti, PI.NextTag, *MissCode);
-
-  // The miss paths of inlined indirect-branch checks live at the bottom of
-  // the trace, below every on-trace path (paper Figure 4).
-  IL->splice(*MissCode);
+    inlineIndirectCheck(*IL, PI.Cti, PI.NextTag);
   return IL;
 }
 
 void Runtime::inlineIndirectCheck(InstrList &IL, Instr *IndirectCti,
-                                  AppPc NextTag, InstrList &MissCode) {
-  (void)MissCode; // miss code is inline (jecxz is rel8-only)
-  Arena &A = IL.arena();
-  Opcode Op = IndirectCti->getOpcode();
-
+                                  AppPc NextTag) {
   // The check must not touch eflags: the branch may leave the trace to an
-  // unknown continuation where flags are live. Like DynamoRIO, we build
-  // the equality test out of lea (no flags) and jecxz (reads only ecx):
+  // unknown continuation where flags are live. Its miss path recovers the
+  // real target and leaves through the IBL:
   //
   //   mov  [spill], ecx
   //   mov  ecx, <target>          ; pop for ret / load for jmp*/call*
@@ -299,64 +291,22 @@ void Runtime::inlineIndirectCheck(InstrList &IL, Instr *IndirectCti,
   // match:
   //   mov  ecx, [spill]
   //   <trace continues>
-  Operand Ecx = Operand::reg(REG_ECX);
-  Operand EcxMem = Operand::mem(REG_ECX, -int32_t(NextTag), 4);
-  Operand EcxMemBack = Operand::mem(REG_ECX, int32_t(NextTag), 4);
-  Operand Spill = Operand::memAbs(Slots.SpillSlots + 4, 4);
   Operand TargetSlot = Operand::memAbs(Slots.IbTargetSlot, 4);
-  AppPc Site = IndirectCti->appAddr();
+  InstrList Check(IL.arena());
+  FlagNeutralCheck C(Check, Slots.spill(RuntimeSlots::SpillTraceCheck),
+                     IndirectCti->appAddr());
+  C.spill();
+  C.loadTarget(*IndirectCti);
+  Instr *Match = C.test(NextTag);
+  C.emit(OP_lea, {Operand::reg(REG_ECX),
+                  Operand::mem(REG_ECX, int32_t(NextTag), 4)});
+  C.emit(OP_mov, {TargetSlot, Operand::reg(REG_ECX)});
+  C.restore();
+  C.emit(OP_jmp_ind, {TargetSlot});
+  Check.append(Match);
+  C.restore();
 
-  auto add = [&](Instr *I) {
-    assert(I && "failed to create check instruction");
-    I->setAppAddr(Site);
-    IL.insertBefore(IndirectCti, I);
-    return I;
-  };
-
-  add(Instr::createSynth(A, OP_mov, {Spill, Ecx}));
-  switch (Op) {
-  case OP_ret:
-  case OP_ret_imm: {
-    add(Instr::createSynth(A, OP_mov, {Ecx, Operand::mem(REG_ESP, 0, 4)}));
-    int32_t Pop = 4;
-    if (Op == OP_ret_imm)
-      Pop += int32_t(IndirectCti->getSrc(0).getImm());
-    add(Instr::createSynth(
-        A, OP_lea, {Operand::reg(REG_ESP), Operand::mem(REG_ESP, Pop, 4)}));
-    break;
-  }
-  case OP_jmp_ind:
-    add(Instr::createSynth(A, OP_mov, {Ecx, IndirectCti->getSrc(0)}));
-    break;
-  case OP_call_ind: {
-    // Compute the target before pushing (hardware operand order; the
-    // operand may address through esp).
-    add(Instr::createSynth(A, OP_mov, {Ecx, IndirectCti->getSrc(0)}));
-    AppPc Ret = IndirectCti->appAddr() + IndirectCti->rawLength();
-    add(Instr::createSynth(A, OP_push, {Operand::imm(int64_t(Ret), 4)}));
-    break;
-  }
-  default:
-    RIO_UNREACHABLE("not an indirect CTI");
-  }
-
-  add(Instr::createSynth(A, OP_lea, {Ecx, EcxMem}));
-  Instr *MatchLabel = Instr::createLabel(A);
-  Instr *Jecxz = Instr::createSynth(A, OP_jecxz, {Operand::pc(0)});
-  Jecxz->setBranchTargetLabel(MatchLabel);
-  Jecxz->setAppAddr(Site);
-  IL.insertBefore(IndirectCti, Jecxz);
-
-  // Miss path (falls through from jecxz).
-  add(Instr::createSynth(A, OP_lea, {Ecx, EcxMemBack}));
-  add(Instr::createSynth(A, OP_mov, {TargetSlot, Ecx}));
-  add(Instr::createSynth(A, OP_mov, {Ecx, Spill}));
-  add(Instr::createSynth(A, OP_jmp_ind, {TargetSlot}));
-
-  // Hit path.
-  IL.insertBefore(IndirectCti, MatchLabel);
-  add(Instr::createSynth(A, OP_mov, {Ecx, Spill}));
-
+  IL.splice(Check, IndirectCti);
   IL.remove(IndirectCti);
   ++S.IndirectBranchesInlined;
 }

@@ -8,6 +8,7 @@
 #include "core/TraceOpt.h"
 
 #include "core/Analysis.h"
+#include "core/FlagNeutralCheck.h"
 #include "core/Runtime.h"
 #include "isa/Eflags.h"
 #include "support/EventTrace.h"
@@ -570,43 +571,28 @@ void TraceOptClient::onSidelinePublish(Runtime &RT, AppPc Tag,
   if (Ready.empty())
     return;
 
-  Arena &A = IL.arena();
-  Operand Ecx = Operand::reg(REG_ECX);
-  // Slot 6: slots 0/1 belong to mangling and trace checks, slot 2 to the
-  // IB-dispatch client, slot 7 to the inline indirect-branch chains.
-  Operand G = Operand::memAbs(RT.slots().SpillSlots + 24, 4);
-
-  // One flag-neutral check per site, the inline-chain idiom: spill ecx,
-  // load the site, lea-subtract the expected value, jecxz over the
-  // bail-out. The bail-out restores ecx and jumps to the trace's own head
-  // tag; setGuardCti keeps that exit permanently unlinked so a failure
-  // always surfaces at the dispatcher (which deoptimizes). Guards precede
-  // every application instruction, so bailing to the head re-runs nothing.
-  InstrList Guards(A);
-  auto add = [&](Instr *I) {
-    assert(I && "failed to create guard instruction");
-    Guards.append(I);
-    return I;
-  };
+  // One flag-neutral check per site: spill ecx, load the site, test it
+  // against the expected value, jecxz over the bail-out. The bail-out
+  // restores ecx and jumps to the trace's own head tag; setGuardCti keeps
+  // that exit permanently unlinked so a failure always surfaces at the
+  // dispatcher (which deoptimizes). Guards precede every application
+  // instruction, so bailing to the head re-runs nothing.
+  InstrList Guards(IL.arena());
+  FlagNeutralCheck C(Guards, RT.slots().spill(RuntimeSlots::SpillGuard),
+                     /*Site=*/0);
   ValuePassConfig Cfg;
   Cfg.RemoveLoads = Opts.RemoveLoads;
   Cfg.FoldConsts = true;
   Cfg.EliminateDeadStores = Opts.EliminateDeadStores;
   for (const SpecSite &Site : Ready) {
     Operand SiteMem = Operand::memAbs(Site.Addr, 4);
-    add(Instr::createSynth(A, OP_mov, {G, Ecx}));
-    add(Instr::createSynth(A, OP_mov, {Ecx, SiteMem}));
-    add(Instr::createSynth(
-        A, OP_lea, {Ecx, Operand::mem(REG_ECX, -int32_t(Site.LastVal), 4)}));
-    Instr *Ok = Instr::createLabel(A);
-    Instr *Jecxz = Instr::createSynth(A, OP_jecxz, {Operand::pc(0)});
-    Jecxz->setBranchTargetLabel(Ok);
-    add(Jecxz);
-    add(Instr::createSynth(A, OP_mov, {Ecx, G}));
-    Instr *Bail = add(Instr::createSynth(A, OP_jmp, {Operand::pc(Tag)}));
-    Bail->setGuardCti(true);
+    C.spill();
+    C.load(SiteMem);
+    Instr *Ok = C.test(Site.LastVal);
+    C.restore();
+    C.emit(OP_jmp, {Operand::pc(Tag)})->setGuardCti(true);
     Guards.append(Ok);
-    add(Instr::createSynth(A, OP_mov, {Ecx, G}));
+    C.restore();
     Cfg.GuardedFacts.push_back({SiteMem, Site.LastVal});
   }
   unsigned NumGuards = unsigned(Ready.size());
@@ -618,16 +604,7 @@ void TraceOptClient::onSidelinePublish(Runtime &RT, AppPc Tag,
   // loads its own immediate compares 0 to 0 and can never fail.
   PublishStats += runValuePass(IL, RT.machine().runtimeBase(), Cfg);
 
-  if (Instr *First = IL.first()) {
-    for (Instr *I = Guards.first(); I;) {
-      Instr *Next = I->next();
-      Guards.remove(I);
-      IL.insertBefore(First, I);
-      I = Next;
-    }
-  } else {
-    IL.splice(Guards);
-  }
+  IL.splice(Guards, IL.first());
 
   // Collapse the per-guard ecx spill/restore brackets into one.
   collapseRedundantSpills(IL);

@@ -88,12 +88,15 @@ void InstrList::replace(Instr *Old, Instr *New) {
   remove(Old);
 }
 
-void InstrList::splice(InstrList &Other) {
+void InstrList::splice(InstrList &Other, Instr *Before) {
   assert(TheArena == Other.TheArena && "lists must share an arena");
   for (Instr *I = Other.First; I;) {
     Instr *Next = I->Next;
     Other.remove(I);
-    append(I);
+    if (Before)
+      insertBefore(Before, I);
+    else
+      append(I);
     I = Next;
   }
 }

@@ -48,9 +48,10 @@ public:
   /// Replaces \p Old with \p New in place.
   void replace(Instr *Old, Instr *New);
 
-  /// Moves every Instr of \p Other to the end of this list, leaving
-  /// \p Other empty. Both lists must share an arena.
-  void splice(InstrList &Other);
+  /// Moves every Instr of \p Other in front of \p Before (to the end of
+  /// this list when null), leaving \p Other empty. Both lists must share
+  /// an arena.
+  void splice(InstrList &Other, Instr *Before = nullptr);
 
   /// Total encoded size if placed at \p BaseAddr (labels resolve to their
   /// position). Returns -1 if any instruction fails to encode.

@@ -366,6 +366,7 @@ struct CachedRun {
   std::string Output;
   uint64_t Cycles = 0;
   StatisticSet Stats;
+  CpuState FinalCpu;
 };
 
 CachedRun runUnder(const Program &P, const RuntimeConfig &Cfg,
@@ -381,6 +382,7 @@ CachedRun runUnder(const Program &P, const RuntimeConfig &Cfg,
   }
   Out.Output = M.output();
   Out.Cycles = M.cycles();
+  Out.FinalCpu = M.cpu();
   return Out;
 }
 
@@ -465,6 +467,74 @@ TEST(IbInline, TransparentUnderTraces) {
   NativeRun Native = runNative(P);
   CachedRun On = runUnder(P, ibOn(RuntimeConfig::full()));
   EXPECT_EQ(On.Output, Native.Output);
+}
+
+/// Calls through an esp-relative operand into callees that return with
+/// `ret 8`, popping the two words the caller pushed: the function pointer
+/// (the `call [esp+4]` operand, read before the call pushes) and the
+/// argument. One pointer in eight selects the cold callee, so both the
+/// call site and the `ret 8` sites see a skewed mix of targets.
+Program espCallRetImmProgram(int Iters) {
+  return assembleOrDie(R"(
+    .entry main
+    main:
+      mov esi, 0
+      mov edi, )" + std::to_string(Iters) + R"(
+    loop:
+      mov eax, hot
+      test edi, 7
+      jnz push_fn
+      mov eax, cold
+    push_fn:
+      push eax
+      push edi
+      call [esp+4]
+      and esi, 0xFFFFFF
+      dec edi
+      jnz loop
+      mov ebx, esi
+      mov eax, 2
+      int 0x80
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+    hot:
+      mov ecx, [esp+4]
+      add esi, ecx
+      ret 8
+    cold:
+      mov ecx, [esp+4]
+      imul ecx, ecx, 3
+      add esi, ecx
+      ret 8
+  )");
+}
+
+TEST(IbInline, RetImmAndEspRelativeCallTargets) {
+  // The target loads no workload reaches: `ret N` and `call [esp+k]`, once
+  // as checks inlined into a trace and once as rewritten IbInline sites.
+  Program P = espCallRetImmProgram(3000);
+  NativeRun Native = runNative(P);
+  ASSERT_EQ(Native.Status, RunStatus::Exited);
+
+  // Traces alone inline both sites' checks (twice: one trace per callee);
+  // IbInline alone rewrites the call site and both `ret 8` sites; with
+  // both, the chain lands on a trace's inline miss path.
+  struct {
+    RuntimeConfig Cfg;
+    uint64_t MinInlined, MinRewrites;
+  } const Cases[] = {{RuntimeConfig::full(), 2, 0},
+                     {ibOn(RuntimeConfig::linkIndirect()), 0, 3},
+                     {ibOn(RuntimeConfig::full()), 2, 1}};
+  for (const auto &C : Cases) {
+    CachedRun R = runUnder(P, C.Cfg);
+    EXPECT_EQ(R.Output, Native.Output);
+    for (unsigned Reg = 0; Reg != 8; ++Reg)
+      EXPECT_EQ(R.FinalCpu.Gpr[Reg], Native.FinalCpu.Gpr[Reg]) << "gpr " << Reg;
+    EXPECT_EQ(R.FinalCpu.Eflags, Native.FinalCpu.Eflags);
+    EXPECT_GE(R.Stats.get("indirect_branches_inlined"), C.MinInlined);
+    EXPECT_GE(R.Stats.get("ib_inline_rewrites"), C.MinRewrites);
+  }
 }
 
 //===----------------------------------------------------------------------===//

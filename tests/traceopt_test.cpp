@@ -23,6 +23,7 @@
 #include "api/dr_api.h"
 #include "clients/Clients.h"
 #include "core/Analysis.h"
+#include "core/FlagNeutralCheck.h"
 #include "core/Sideline.h"
 #include "core/ThreadedRunner.h"
 #include "core/TraceOpt.h"
@@ -30,6 +31,7 @@
 #include "isa/Eflags.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -323,25 +325,34 @@ TEST(Analysis, LiveEflagsAtBundleBoundaries) {
 }
 
 TEST(Analysis, GuardInstructionsAreFlagNeutral) {
-  // The guard idiom is mov/lea/jecxz/jmp precisely because none of them
-  // touches eflags; pin that so an opcode-table change cannot silently
-  // break guard transparency.
+  // Every runtime check is built by FlagNeutralCheck out of mov/lea/jecxz
+  // precisely because none of them touches eflags; pin that so an
+  // opcode-table change cannot silently break check transparency. The
+  // expected value 0x80000000 has no negation in int32_t: the lea must
+  // still subtract it.
   Arena A;
-  Instr *Seq[] = {
-      Instr::createSynth(A, OP_mov,
-                         {Operand::memAbs(AppA, 4), Operand::reg(REG_ECX)}),
-      Instr::createSynth(A, OP_mov,
-                         {Operand::reg(REG_ECX), Operand::memAbs(AppA, 4)}),
-      Instr::createSynth(A, OP_lea,
-                         {Operand::reg(REG_ECX), Operand::mem(REG_ECX, -7, 4)}),
-      Instr::createSynth(A, OP_jecxz, {Operand::pc(0)}),
-      Instr::createSynth(A, OP_jmp, {Operand::pc(0)}),
-  };
-  for (Instr *I : Seq) {
-    ASSERT_NE(I, nullptr);
-    EXPECT_EQ(I->getEflags() & (EFLAGS_READ_ALL | EFLAGS_WRITE_ALL), 0u)
-        << instrToString(*I);
+  InstrList IL(A);
+  FlagNeutralCheck C(IL, UnitRuntimeBase + 0x38, AppA);
+  C.spill();
+  C.load(Operand::memAbs(AppA, 4));
+  Instr *Ok = C.test(0x80000000u);
+  C.restore();
+  C.emit(OP_jmp, {Operand::pc(0)});
+  IL.append(Ok);
+  C.restore();
+  unsigned Checked = 0;
+  for (Instr &I : IL) {
+    if (I.isLabel())
+      continue;
+    ++Checked;
+    EXPECT_EQ(I.appAddr(), AppA);
+    EXPECT_EQ(I.getEflags() & (EFLAGS_READ_ALL | EFLAGS_WRITE_ALL), 0u)
+        << instrToString(I);
+    if (I.getOpcode() == OP_lea) {
+      EXPECT_EQ(I.getSrc(0).getDisp(), INT32_MIN);
+    }
   }
+  EXPECT_EQ(Checked, 7u);
 }
 
 TEST(Analysis, CollapseRedundantSpillsAdversarialChain) {

@@ -11,6 +11,9 @@
 #include "support/Arena.h"
 #include "vm/Syscall.h"
 
+#include <cstring>
+#include <new>
+
 using namespace rio;
 using namespace rio::test;
 
@@ -528,6 +531,22 @@ TEST(Predictors, ReturnStackMatchesCallDepth) {
   EXPECT_TRUE(P.popReturn(0x2222));
   EXPECT_FALSE(P.popReturn(0x9999)); // wrong return address
   EXPECT_FALSE(P.popReturn(0x1111)); // stack already consumed
+}
+
+TEST(Predictors, ResetClearsEveryTable) {
+  // The persistent cache image serializes all three tables verbatim, so
+  // no word may keep whatever bytes the storage held before construction.
+  alignas(BranchPredictors) unsigned char Storage[sizeof(BranchPredictors)];
+  std::memset(Storage, 0xAB, sizeof(Storage));
+  BranchPredictors *P = new (Storage) BranchPredictors();
+  for (unsigned I = 0; I != BranchPredictors::CondEntries; ++I)
+    EXPECT_EQ(P->condTable()[I], 1u);
+  for (unsigned I = 0; I != BranchPredictors::BtbEntries; ++I)
+    EXPECT_EQ(P->btb()[I], 0u);
+  for (unsigned I = 0; I != BranchPredictors::RasDepth; ++I)
+    EXPECT_EQ(P->ras()[I], 0u) << "ras " << I;
+  EXPECT_EQ(P->rasTop(), 0u);
+  P->~BranchPredictors();
 }
 
 TEST(Predictors, RasOverflowWrapsGracefully) {
